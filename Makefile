@@ -29,14 +29,11 @@ examples:
 test:
 	$(GO) test ./...
 
-# race runs the harness, facade, rank-scheduler, batch-scheduler, sharded
-# engine/fabric and cmd tests under the race detector (the full experiment
-# suite under -race is slow; CI runs it, locally target the pool, the facade
-# the pool reuses systems through, the concurrent multi-job path, and the
-# parallel horizon windows of the sharded engine). The facade tests include
-# the ShardableUGAL leak/cancellation regressions (variant_test.go), so the
-# conforming-parallel packet path and its mid-run teardown run under -race
-# at every shard count the tests cover.
+# race runs the arrival, harness, rank-scheduler, batch-scheduler, sharded
+# engine/fabric, facade and cmd tests under the race detector (the full
+# experiment suite under -race is slow; CI runs it, locally target the trial
+# pool, the facade the pool reuses systems through, the concurrent multi-job
+# path, and the parallel horizon windows of the sharded engine).
 race:
 	$(GO) test -race ./internal/arrival/... ./internal/harness/... ./internal/mpi/... \
 		./internal/sched/... ./internal/sim/... ./internal/network/... . ./cmd/...
@@ -64,7 +61,7 @@ bench:
 bench-suite:
 	$(GO) test -bench Suite -benchtime 1x -run '^$$' .
 
-# bench-smoke runs BenchmarkSuiteSerial once and fails when allocs/op
+# bench-smoke runs each gated benchmark once and fails when its allocs/op
 # regresses more than 10% over the checked-in budget (BENCH_budget.txt).
 # CI runs it; after an intentional allocation change, update the budget file
 # with the new allocs/op value and justify it in the PR.
@@ -79,8 +76,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRouting$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseShards$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRoutingVariant$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseStaleness$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecisionTrace$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/alloc

@@ -183,16 +183,10 @@ type pendingDelivery struct {
 	done func(Delivery)
 }
 
-// Typed-event opcodes dispatched through Fabric.HandleEvent (engine events)
-// and Fabric.HandleLocalEvent (conforming-parallel events, ShardableUGAL).
+// Typed-event opcodes dispatched through Fabric.HandleEvent.
 const (
 	fabricOpInject int64 = iota
 	fabricOpDeliver
-	// fabricOpDeliverLane completes a delivery parked in a lane arena by the
-	// shardable inject path (arg packs group<<40 | index).
-	fabricOpDeliverLane
-	// fabricOpSync is the ShardableUGAL lookahead-boundary replica sync.
-	fabricOpSync
 )
 
 // Fabric simulates the Dragonfly interconnect. It is not safe for concurrent
@@ -220,23 +214,6 @@ type Fabric struct {
 	// so the hot-path residency decision is one slice load.
 	sharded     *sim.Sharded
 	groupOfNode []int32
-
-	// ShardableUGAL state (see shardable.go); spolicy non-nil selects the
-	// variant. lanes holds the per-group packet-path partitions, groupOfLink
-	// the owner group of each link's source router, ownStamp the per-link
-	// dirty epoch stamps, syncEpoch/syncArmed the replica sync chain.
-	// staleness is the replica-sync decimation factor K: the sync chain
-	// fires every syncPeriod = K × lookahead cycles (K=1 is the PR 8
-	// behaviour, byte-identical by arithmetic).
-	spolicy     *routing.ShardedPolicy
-	lanes       []laneState
-	groupOfLink []int32
-	ownStamp    []uint32
-	syncEpoch   uint32
-	syncArmed   bool
-	lookahead   sim.Time
-	staleness   int
-	syncPeriod  sim.Time
 
 	// observers are the delivery observers in registration order. Multiple
 	// observers coexist — per-job delivery capture, the message log and
@@ -318,9 +295,6 @@ func (f *Fabric) Reset() {
 	}
 	f.observers = f.observers[:0]
 	f.rng.Seed(f.engine.Seed() ^ 0x5f3759df)
-	if f.spolicy != nil {
-		f.resetShardable()
-	}
 }
 
 // Engine returns the simulation engine driving the fabric.
@@ -335,15 +309,8 @@ func (f *Fabric) Config() Config { return f.cfg }
 // Policy returns the routing policy.
 func (f *Fabric) Policy() *routing.Policy { return f.policy }
 
-// PacketsInjected reports the total number of request packets injected so
-// far (summed over the per-group lanes under ShardableUGAL).
-func (f *Fabric) PacketsInjected() uint64 {
-	n := f.packetsInjected
-	for g := range f.lanes {
-		n += f.lanes[g].packets
-	}
-	return n
-}
+// PacketsInjected reports the total number of request packets injected so far.
+func (f *Fabric) PacketsInjected() uint64 { return f.packetsInjected }
 
 // AddDeliveryObserver registers a callback invoked for every completed
 // message transfer on the fabric (including same-node loopback transfers and
@@ -429,10 +396,6 @@ func (f *Fabric) HandleEvent(_ *sim.Engine, op, arg int64) {
 		f.inject(topo.NodeID(arg))
 	case fabricOpDeliver:
 		f.completeDelivery(int32(arg))
-	case fabricOpDeliverLane:
-		f.completeLaneDelivery(arg)
-	case fabricOpSync:
-		f.runSync()
 	}
 }
 
@@ -525,28 +488,6 @@ func (f *Fabric) Send(src, dst topo.NodeID, size int64, opts SendOptions, done f
 		}
 		if done != nil || len(f.observers) > 0 {
 			f.scheduleDelivery(d, done)
-		}
-		return nil
-	}
-	if f.spolicy != nil {
-		// ShardableUGAL: the op comes from the source group's lane pool, the
-		// inject event goes into the conforming-parallel class, and posting
-		// traffic (re-)arms the replica sync chain. Send runs in the serial
-		// domain, so no window can span the armed boundary.
-		lane := &f.lanes[f.groupOfNode[src]]
-		op := lane.getOp()
-		op.src, op.dst, op.size, op.opts, op.done = src, dst, size, opts, done
-		op.packetsTotal = f.cfg.PacketsForSize(size)
-		op.start = now
-		op.packetsLeft = op.packetsTotal
-		nic := &f.nics[src]
-		nic.pushOp(op)
-		lane.opsQueued++
-		f.armSync(now)
-		if !nic.injecting {
-			nic.injecting = true
-			nic.readyAt = max(nic.readyAt, now)
-			f.sharded.ScheduleLocal(f.groupOfNode[src], nic.readyAt, f, fabricOpInject, int64(src))
 		}
 		return nil
 	}

@@ -108,12 +108,12 @@ type decisionRing struct {
 }
 
 // DecisionTrace records adaptive routing decisions into one ring per
-// dragonfly group. Per-group rings keep sharded runs deterministic: each
-// group's decisions land in its own ring in the group's canonical event
-// order, so the recorded trace is byte-identical across shard counts for both
-// routing variants. A single Route caller per group at a time is assumed
-// (the serial domain for ExactUGAL, the owning lane for ShardableUGAL), so
-// recording needs no synchronization.
+// dragonfly group, keyed by the decision's source router. The rings bound
+// memory per group rather than globally, so a group whose routers route
+// heavily cannot evict a quiet group's history: the kept trace is the most
+// recent decisions of every source group, and each group's overflow is
+// counted on its own. Route runs on the simulation goroutine, so recording
+// needs no synchronization.
 type DecisionTrace struct {
 	k        int
 	capacity int

@@ -221,26 +221,22 @@ func TestHashedModesAreNotTraced(t *testing.T) {
 	}
 }
 
-func TestShardedPolicyRecordsPerGroupRings(t *testing.T) {
-	tt := topo.MustNew(topo.SmallConfig(3))
-	sp, err := NewShardedPolicy(tt, DefaultParams(), tt.Config().Groups, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPolicyRecordsPerGroupRings: each decision lands in the ring of its
+// source router's group, so every group keeps its own history.
+func TestPolicyRecordsPerGroupRings(t *testing.T) {
+	p, tt := newTestPolicy(t, 3)
 	tr, err := NewDecisionTrace(tt.Config().Groups, 4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.SetDecisionTrace(tr)
-	if sp.DecisionTrace() != tr {
-		t.Fatal("sharded policy lost the recorder")
-	}
+	p.SetDecisionTrace(tr)
+	rng := rand.New(rand.NewSource(99))
 	view := ZeroView{Propagation: 10, CyclesPerFlit: 2}
 	for g := 0; g < tt.Config().Groups; g++ {
 		src := tt.RouterAt(topo.Coord{Group: g, Chassis: 0, Blade: 0})
 		dst := tt.RouterAt(topo.Coord{Group: (g + 1) % tt.Config().Groups, Chassis: 0, Blade: 0})
 		for i := 0; i < g+1; i++ {
-			sp.Route(g, Adaptive, src, dst, 5, 0, view, 0)
+			p.Route(Adaptive, src, dst, 5, 0, view, 0, rng)
 		}
 	}
 	perGroup := make(map[int]int)

@@ -91,7 +91,9 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	if lo == hi {
+	// Tied neighbours return exactly: a*(1-f)+a*f can land an ulp off a,
+	// which would make the result non-monotone in p.
+	if lo == hi || sorted[lo] == sorted[hi] {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
