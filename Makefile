@@ -29,17 +29,18 @@ examples:
 test:
 	$(GO) test ./...
 
-# race runs the arrival, harness, rank-scheduler, batch-scheduler, sharded
-# engine/fabric, facade and cmd tests under the race detector (the full
-# experiment suite under -race is slow; CI runs it, locally target the trial
-# pool, the facade the pool reuses systems through, the concurrent multi-job
-# path, and the parallel horizon windows of the sharded engine).
+# race runs the arrival, harness, rank-scheduler, batch-scheduler, engine,
+# fabric, facade and cmd tests under the race detector (the full experiment
+# suite under -race is slow; CI runs it, locally target the trial pool, the
+# facade the pool reuses systems through, the rank goroutine hand-off, and
+# the concurrent multi-job path).
 race:
 	$(GO) test -race ./internal/arrival/... ./internal/harness/... ./internal/mpi/... \
 		./internal/sched/... ./internal/sim/... ./internal/network/... . ./cmd/...
 
-# bench runs the full 19-benchmark suite (one testing.B per paper figure/
-# table plus the serial/parallel executor pair) with -benchmem and stores the
+# bench runs the 24 root-package benchmarks (one testing.B per paper figure/
+# table and ablation, the serial/parallel executor pair, and the
+# machine-scale, open-stream and multi-job paths) with -benchmem and stores the
 # raw `go test -json` stream as BENCH_$(BENCH_LABEL).json. The benchmark
 # result lines inside are standard Go benchmark format; extract them for
 # benchstat with:
@@ -75,7 +76,6 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRouting$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzParseShards$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDecisionTrace$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/alloc

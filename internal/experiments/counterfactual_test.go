@@ -4,8 +4,9 @@ import "testing"
 
 // TestCounterfactualInvariantUnderEngineOverrides is the acceptance criterion
 // of the decision-trace data path: the counterfactual tables must be
-// byte-identical across intra-run shard counts, because the decision rings
-// are per-group and group order is canonical.
+// byte-identical serially and on the parallel worker pool, because every
+// trial owns its system and decision rings and the harness merges results in
+// spec order.
 func TestCounterfactualInvariantUnderEngineOverrides(t *testing.T) {
 	render := func(t *testing.T, mutate func(*Options)) string {
 		t.Helper()
@@ -23,7 +24,7 @@ func TestCounterfactualInvariantUnderEngineOverrides(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		{"shards=2", func(o *Options) { o.Shards = 2 }},
+		{"parallel=2", func(o *Options) { o.Parallel = 2 }},
 	}
 	for _, c := range cases {
 		c := c

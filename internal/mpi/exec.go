@@ -118,7 +118,6 @@ func (s *Scheduler) stepUntil(check func() error) error {
 // the historical Comm.Run left them.
 func (s *Scheduler) Run(check func() error) error {
 	defer s.shutdownOnPanic()
-	defer s.releaseEngineWorkers()
 	for s.live > 0 {
 		if check != nil {
 			if err := check(); err != nil {
@@ -148,7 +147,6 @@ func (s *Scheduler) Run(check func() error) error {
 // arrival times. It is the rank-aware equivalent of Engine.Run.
 func (s *Scheduler) Drain(check func() error) error {
 	defer s.shutdownOnPanic()
-	defer s.releaseEngineWorkers()
 	for {
 		if check != nil {
 			if err := check(); err != nil {
@@ -211,19 +209,6 @@ func (s *Scheduler) Shutdown() {
 		}
 	}
 	s.runnable = s.runnable[:0]
-	s.releaseEngineWorkers()
-}
-
-// releaseEngineWorkers tears down the sharded driver's persistent window
-// workers, if any. Run and Drain call it on every exit (the pool is an
-// intra-run optimization — a finished or abandoned run must leave no parked
-// goroutines), and Shutdown calls it so direct shutdown paths reap the pool
-// too. Safe mid-panic: the window barrier collects every woken worker before
-// a worker panic is re-raised, so the pool is always parked here.
-func (s *Scheduler) releaseEngineWorkers() {
-	if sh := s.engine.Sharded(); sh != nil {
-		sh.Shutdown()
-	}
 }
 
 // ContextCheck adapts a context to the scheduler's cancellation hook shape.

@@ -69,8 +69,8 @@ type openJob struct {
 // + concurrent jobs), independent of how many million job events the horizon
 // spans.
 //
-// OpenStream schedules only engine-level (serial-domain) events, so its
-// output is byte-identical at every shard count.
+// OpenStream draws only from streams seeded by OpenConfig.Seed, so its output
+// is a function of the seed and the spec: reruns are byte-identical.
 type OpenStream struct {
 	fabric *network.Fabric
 	topo   *topo.Topology

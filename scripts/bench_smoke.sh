@@ -14,19 +14,17 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# gate KEY BENCH LABEL [PKG [BENCHTIME]] — run benchmark BENCH (an exact
-# name, sub-benchmark paths allowed) in package PKG (default: the root
-# package) for BENCHTIME (default 1x) and fail when its allocs/op exceeds the
-# BENCH_budget.txt entry KEY by more than 10%. LABEL (may be empty) names
-# the gate in the FAIL/OK lines.
+# gate KEY BENCH LABEL — run root-package benchmark BENCH (an exact name)
+# once and fail when its allocs/op exceeds the BENCH_budget.txt entry KEY by
+# more than 10%. LABEL (may be empty) names the gate in the FAIL/OK lines.
 gate() {
-    key=$1 bench=$2 label=$3 pkg=${4:-.} benchtime=${5:-1x}
+    key=$1 bench=$2 label=$3
     budget=$(awk -v k="$key" '$1 == k {print $2}' BENCH_budget.txt)
     if [ -z "$budget" ]; then
         echo "bench_smoke: no $key entry in BENCH_budget.txt" >&2
         exit 2
     fi
-    out=$(go test -run '^$' -bench "^$bench\$" -benchmem -benchtime "$benchtime" -timeout 30m "$pkg")
+    out=$(go test -run '^$' -bench "^$bench\$" -benchmem -benchtime 1x -timeout 30m .)
     echo "$out"
     allocs=$(echo "$out" | awk -v b="$bench" 'index($1, b) == 1 {for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}')
     if [ -z "$allocs" ]; then
@@ -48,17 +46,6 @@ gate allocs_per_op BenchmarkSuiteSerial ""
 # op, so the count is the machine-scale construction cost plus a short
 # alltoall — it must not grow with the packets routed.
 gate daint_allocs_per_op BenchmarkMachineScaleDaint daint
-
-# The sharded engine path: the same Daint workload on the group-sharded
-# engine at four shards (the benchmark fails itself if the result diverges
-# from serial). Keeps the sharding machinery — mailboxes, per-shard heaps,
-# the window worker pool — from growing an O(events) allocation.
-gate sharded_allocs_per_op BenchmarkDaintSharded/shards=4 sharded
-
-# Steady-state horizon windows: a warmed sharded engine (worker pool
-# spawned, arenas at capacity) advancing window after window. Its budget is
-# 0, so the +10% margin is 0 too: one allocation per window fails the gate.
-gate window_allocs_per_op BenchmarkShardedWindowSteadyState "steady-state window" ./internal/sim 50x
 
 # The open-arrival scheduling engine: 300k job events drained on the Daint
 # geometry. The subsystem's design contract is that steady-state operation
