@@ -12,6 +12,7 @@
 package dragonfly_test
 
 import (
+	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"dragonfly/internal/arrival"
 	"dragonfly/internal/experiments"
 	"dragonfly/internal/sched"
+	"dragonfly/internal/topo"
 	"dragonfly/internal/trace"
 	"dragonfly/internal/workloads"
 )
@@ -385,4 +387,52 @@ func BenchmarkOpenStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "job_events_per_sec")
+}
+
+// routeSink keeps the compiler from discarding the routed decisions.
+var routeSink int64
+
+// BenchmarkRoute measures the per-packet routing decision on its own: a fixed
+// pseudo-random set of router pairs routed through the system's policy
+// against the system's own fabric as the congestion view, alternately in
+// Adaptive and AdaptiveHighBias. quick is the 96-router geometry of the quick
+// experiment suite (the Medium rung); daint is the 1344-router Daint rung.
+// ns/decision is the headline; allocs/op must stay 0.
+func BenchmarkRoute(b *testing.B) {
+	const pairs = 4096
+	for _, c := range []struct {
+		name     string
+		geometry dragonfly.Geometry
+	}{{"quick", dragonfly.Medium}, {"daint", dragonfly.Daint}} {
+		b.Run(c.name, func(b *testing.B) {
+			sys, err := dragonfly.New(dragonfly.WithGeometry(c.geometry), dragonfly.WithSeed(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			fab := sys.Fabric()
+			pol := fab.Policy()
+			routers := sys.Topology().NumRouters()
+			rng := rand.New(rand.NewSource(1))
+			src := make([]topo.RouterID, pairs)
+			dst := make([]topo.RouterID, pairs)
+			for i := range src {
+				src[i] = topo.RouterID(rng.Intn(routers))
+				dst[i] = topo.RouterID(rng.Intn(routers))
+			}
+			modes := [2]dragonfly.Mode{dragonfly.Adaptive, dragonfly.AdaptiveHighBias}
+			pass := func() {
+				for i := range src {
+					d := pol.Route(modes[i&1], src[i], dst[i], 5, 0, fab, 0, rng)
+					routeSink += d.Cost
+				}
+			}
+			pass() // grow the policy's candidate buffers before timing
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/decision")
+		})
+	}
 }

@@ -65,9 +65,8 @@ type sendOp struct {
 }
 
 // linkState is the dynamic state of one directed link. States live in one
-// flat slice indexed by LinkID; the fields a packet hop touches (the timing
-// words and the tile counters) sit together so a hop stays within one or two
-// cache lines.
+// flat slice indexed by LinkID; everything a packet hop touches (the timing
+// words, the tier and the tile counters) fits in one 64-byte cache line.
 type linkState struct {
 	// freeAt is the time the link finishes serializing the last accepted packet.
 	freeAt sim.Time
@@ -77,18 +76,29 @@ type linkState struct {
 	prevFreeAt sim.Time
 	lastChange sim.Time
 
-	cyclesPerFlitNum int64 // serialization = flits * num / den
-	cyclesPerFlitDen int64
-	propagation      int64
-	bufferCycles     int64 // input buffer capacity expressed in cycles
+	bufferCycles int64 // input buffer capacity expressed in cycles
+	// tier indexes the fabric's per-tier serialization and hop-cost tables.
+	tier topo.LinkType
 
 	tile counters.Tile
 }
 
-func (ls *linkState) serialization(flits int) int64 {
-	v := int64(flits) * ls.cyclesPerFlitNum
-	v = (v + ls.cyclesPerFlitDen - 1) / ls.cyclesPerFlitDen
-	return max(v, 1)
+// serialization is the time to put flits onto a link of the given width:
+// ceil(flits*cyclesPerFlit/width) cycles, and at least one.
+func serialization(flits int, cyclesPerFlit int64, width int) int64 {
+	w := max(int64(width), 1)
+	return max((int64(flits)*cyclesPerFlit+w-1)/w, 1)
+}
+
+// backlog is the link's queue backlog as the routing pipeline perceives it
+// at time now: until creditDelay cycles after the link last changed, it
+// still sees the previous state.
+func (ls *linkState) backlog(now, creditDelay int64) int64 {
+	freeAt := ls.freeAt
+	if now-ls.lastChange < creditDelay {
+		freeAt = ls.prevFreeAt
+	}
+	return max(freeAt-now, 0)
 }
 
 func (ls *linkState) advance(now, newFreeAt sim.Time) {
@@ -104,6 +114,20 @@ func (ls *linkState) reset() {
 	ls.tile = counters.Tile{}
 }
 
+// numTiers is the number of link tiers (topo.LinkType values).
+const numTiers = int(topo.LinkGlobal) + 1
+
+// tierCycles holds per-tier cycle counts for one flit count. topo gives every
+// link of a tier the tier's width, and the propagation delay depends on the
+// tier alone, so one entry per tier stands for every link of it.
+type tierCycles struct {
+	flits int // the flit count the entries are for; -1 before the first use
+	// ser is the serialization of flits onto a link of the tier.
+	ser [numTiers]int64
+	// hop is ser plus the tier's propagation delay.
+	hop [numTiers]int64
+}
+
 // nicState is the dynamic state of one NIC. Like linkState, NICs live in one
 // flat slice indexed by NodeID.
 type nicState struct {
@@ -113,10 +137,10 @@ type nicState struct {
 	readyAt sim.Time
 	// window is a ring buffer of the response times of the last
 	// MaxOutstandingPackets packets, used to enforce the outstanding limit.
-	// It is allocated lazily on the NIC's first injection: at machine scale
-	// most nodes never send (only the measured jobs and noise generators do),
-	// so an idle NIC costs a few words instead of an eager
-	// MaxOutstandingPackets-sized ring.
+	// It grows on demand, in insertion order, until it holds
+	// MaxOutstandingPackets entries and only then wraps: an idle NIC costs a
+	// few words, and a NIC that sends a few hundred packets over a run never
+	// pays for the full MaxOutstandingPackets-sized ring.
 	window    []sim.Time
 	windowIdx int
 	windowLen int
@@ -163,9 +187,7 @@ func (n *nicState) popOp() *sendOp {
 func (n *nicState) reset(f *Fabric) {
 	n.counters = counters.NIC{}
 	n.readyAt = 0
-	for i := range n.window {
-		n.window[i] = 0
-	}
+	n.window = n.window[:0]
 	n.windowIdx, n.windowLen = 0, 0
 	for i := n.qhead; i < len(n.queue); i++ {
 		f.putOp(n.queue[i])
@@ -209,6 +231,15 @@ type Fabric struct {
 
 	packetsInjected uint64
 
+	// tierWidth and tierProp are the width and propagation delay of every
+	// link of a tier. costTiers, reqTiers and respTiers memoize the per-tier
+	// tables for the last flit count PathCost, the request walk and the
+	// response walk asked for; each sees one flit count almost always, so a
+	// hop costs table loads instead of an integer divide.
+	tierWidth                      [numTiers]int
+	tierProp                       [numTiers]int64
+	costTiers, reqTiers, respTiers tierCycles
+
 	// observers are the delivery observers in registration order. Multiple
 	// observers coexist — per-job delivery capture, the message log and
 	// telemetry can all watch one concurrent run — so the slot is a dispatch
@@ -244,14 +275,30 @@ func New(engine *sim.Engine, t *topo.Topology, policy *routing.Policy, cfg Confi
 		nics:   make([]nicState, t.NumNodes()),
 		rng:    rand.New(rand.NewSource(engine.Seed() ^ 0x5f3759df)),
 	}
+	for tier := range numTiers {
+		f.tierWidth[tier] = t.Config().LinkWidth(topo.LinkType(tier))
+		f.tierProp[tier] = cfg.propagationFor(topo.LinkType(tier))
+	}
+	f.costTiers.flits, f.reqTiers.flits, f.respTiers.flits = -1, -1, -1
 	for i, l := range t.Links() {
 		ls := &f.links[i]
-		ls.cyclesPerFlitNum = cfg.CyclesPerFlit
-		ls.cyclesPerFlitDen = max(int64(l.Width), 1)
-		ls.propagation = cfg.propagationFor(l.Type)
-		ls.bufferCycles = ls.serialization(cfg.BufferFlits)
+		ls.tier = l.Type
+		ls.bufferCycles = serialization(cfg.BufferFlits, cfg.CyclesPerFlit, l.Width)
 	}
 	return f, nil
+}
+
+// tiers returns the per-tier table for flits, recomputing memo m only when
+// the flit count changed since its last use.
+func (f *Fabric) tiers(m *tierCycles, flits int) *tierCycles {
+	if m.flits != flits {
+		m.flits = flits
+		for tier := range numTiers {
+			m.ser[tier] = serialization(flits, f.cfg.CyclesPerFlit, f.tierWidth[tier])
+			m.hop[tier] = m.ser[tier] + f.tierProp[tier]
+		}
+	}
+	return m
 }
 
 // MustNew is like New but panics on configuration errors.
@@ -356,25 +403,37 @@ func (f *Fabric) IncomingFlits(routers map[topo.RouterID]bool) (flits, stalled u
 	return flits, stalled
 }
 
-// --- routing.CongestionView implementation -------------------------------
+// --- congestion view -------------------------------------------------------
 
-// QueueCycles implements routing.CongestionView with a stale (credit-delayed)
-// view of the link backlog.
-func (f *Fabric) QueueCycles(id topo.LinkID, now int64) int64 {
-	ls := &f.links[id]
-	freeAt := ls.freeAt
-	if now-ls.lastChange < f.cfg.CreditDelay {
-		freeAt = ls.prevFreeAt
+// PathCost implements routing.CongestionView: per hop, the stale
+// (credit-delayed) queue backlog plus the hop cost of the link's tier. It
+// equals the sum of QueueCycles, PropagationCycles and SerializationCycles
+// over the path.
+func (f *Fabric) PathCost(path topo.Path, flits int, now int64) int64 {
+	hop := &f.tiers(&f.costTiers, flits).hop
+	var cost int64
+	for _, id := range path {
+		ls := &f.links[id]
+		cost += ls.backlog(now, f.cfg.CreditDelay) + hop[ls.tier]
 	}
-	return max(freeAt-now, 0)
+	return cost
 }
 
-// PropagationCycles implements routing.CongestionView.
-func (f *Fabric) PropagationCycles(id topo.LinkID) int64 { return f.links[id].propagation }
+// QueueCycles returns the link's backlog in cycles as the routing pipeline
+// perceives it at time now.
+func (f *Fabric) QueueCycles(id topo.LinkID, now int64) int64 {
+	return f.links[id].backlog(now, f.cfg.CreditDelay)
+}
 
-// SerializationCycles implements routing.CongestionView.
+// PropagationCycles returns the link's propagation delay, from its type.
+func (f *Fabric) PropagationCycles(id topo.LinkID) int64 {
+	return f.cfg.propagationFor(f.topo.Link(id).Type)
+}
+
+// SerializationCycles returns the time to serialize flits onto the link, from
+// its width.
 func (f *Fabric) SerializationCycles(id topo.LinkID, flits int) int64 {
-	return f.links[id].serialization(flits)
+	return serialization(flits, f.cfg.CyclesPerFlit, f.topo.Link(id).Width)
 }
 
 var _ routing.CongestionView = (*Fabric)(nil)
@@ -496,15 +555,25 @@ func (n *nicState) windowConstraint(maxOutstanding int) sim.Time {
 	return n.window[n.windowIdx]
 }
 
+// recordResponse adds a packet's response time to the window. Until the
+// window holds maxOutstanding entries they are appended in insertion order,
+// so when it fills the oldest sits at index 0, where windowIdx then points;
+// from then on each record overwrites the oldest.
 func (n *nicState) recordResponse(resp sim.Time, maxOutstanding int) {
-	if n.window == nil {
-		n.window = make([]sim.Time, maxOutstanding)
+	if n.windowLen < maxOutstanding {
+		if len(n.window) == cap(n.window) {
+			// Grow by doubling from 16 entries, capped at the window size.
+			grown := make([]sim.Time, len(n.window), min(max(2*cap(n.window), 16), maxOutstanding))
+			copy(grown, n.window)
+			n.window = grown
+		}
+		n.window = append(n.window, resp)
+		n.windowLen++
+		n.windowIdx = n.windowLen % maxOutstanding
+		return
 	}
 	n.window[n.windowIdx] = resp
-	n.windowIdx = (n.windowIdx + 1) % len(n.window)
-	if n.windowLen < len(n.window) {
-		n.windowLen++
-	}
+	n.windowIdx = (n.windowIdx + 1) % maxOutstanding
 }
 
 // inject processes one chunk of packets from the head of the NIC's queue and
@@ -535,6 +604,7 @@ func (f *Fabric) inject(src topo.NodeID) {
 	dec := f.policy.Route(op.opts.Mode, srcRouter, dstRouter, flitsPerPacket, hash, f, ready, f.rng)
 
 	// Traverse the selected path, accumulating per-link waits.
+	req := f.tiers(&f.reqTiers, chunkFlits)
 	injStart := ready
 	var arrival sim.Time
 	if len(dec.Path) == 0 {
@@ -557,20 +627,21 @@ func (f *Fabric) inject(src topo.NodeID) {
 				next := &f.links[dec.Path[i+1]]
 				start = max(start, next.freeAt-next.bufferCycles)
 			}
-			ser := ls.serialization(chunkFlits)
+			ser := req.ser[ls.tier]
 			ls.tile.FlitsTraversed += uint64(chunkFlits)
 			ls.tile.BusyCycles += uint64(ser)
 			if wait := start - t; wait > 0 {
 				ls.tile.StalledCycles += uint64(wait)
 			}
 			ls.advance(start, start+ser)
-			t = start + ser + ls.propagation
+			t = start + req.hop[ls.tier]
 		}
 		arrival = t + 2*f.cfg.ProcessorDelay
 	}
 
 	// Response traversal over the reverse path.
 	respFlits := f.cfg.ResponseFlits * int(chunkPackets)
+	resp := f.tiers(&f.respTiers, respFlits)
 	respArrival := arrival
 	for i := len(dec.Path) - 1; i >= 0; i-- {
 		revID := f.topo.ReverseLink(dec.Path[i])
@@ -579,11 +650,11 @@ func (f *Fabric) inject(src topo.NodeID) {
 		}
 		ls := &f.links[revID]
 		start := max(respArrival, ls.freeAt)
-		ser := ls.serialization(respFlits)
+		ser := resp.ser[ls.tier]
 		ls.tile.FlitsTraversed += uint64(respFlits)
 		ls.tile.BusyCycles += uint64(ser)
 		ls.advance(start, start+ser)
-		respArrival = start + ser + ls.propagation
+		respArrival = start + resp.hop[ls.tier]
 	}
 	respArrival += f.cfg.ProcessorDelay
 

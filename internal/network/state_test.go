@@ -100,7 +100,7 @@ func TestStaleViewThroughFabric(t *testing.T) {
 // --- nicState: outstanding-packet ring buffer ------------------------------
 
 // TestWindowRingWraparound pins the ring-buffer mechanics of the NIC's
-// outstanding-packet window: the ring is allocated lazily on the first
+// outstanding-packet window: the ring grows on demand from the first
 // recorded response, no constraint applies until the window fills, then the
 // oldest outstanding response bounds the next injection, with windowIdx
 // wrapping modulo the window size.
@@ -118,8 +118,8 @@ func TestWindowRingWraparound(t *testing.T) {
 			t.Fatalf("after %d records (window not full) constraint = %d, want 0", i+1, got)
 		}
 	}
-	if len(n.window) != 4 {
-		t.Fatalf("ring allocated with %d slots, want 4", len(n.window))
+	if len(n.window) != n.windowLen {
+		t.Fatalf("ring holds %d slots after %d records", len(n.window), n.windowLen)
 	}
 	n.recordResponse(40, 4)
 	// Window full: oldest outstanding response (10) gates injection, and the

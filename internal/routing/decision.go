@@ -226,9 +226,9 @@ func (r *decisionRing) slot() *TracedDecision {
 }
 
 // record captures one adaptive decision. Costs are recomputed from the view
-// (pure reads — no RNG draws), so recording cannot perturb the simulated
-// byte stream; with tracing disabled the only hot-path overhead is one nil
-// check in Route.
+// (no RNG draws, no simulated state changed), so recording cannot perturb
+// the simulated byte stream; with tracing disabled the only hot-path
+// overhead is one nil check in Route.
 func (t *DecisionTrace) record(group int, mode Mode, src, dst topo.RouterID,
 	flits int, now int64, view CongestionView,
 	minimal, nonMinimal []topo.Path, bestMinHops int, bias int64, chosen int) {
@@ -272,7 +272,7 @@ func (t *DecisionTrace) record(group int, mode Mode, src, dst topo.RouterID,
 		n := copy(c.Links[:], path)
 		c.PathLen = int8(n)
 		c.Minimal = isMin
-		c.RawCost = PathCost(path, flits, view, now)
+		c.RawCost = view.PathCost(path, flits, now)
 		if i == chosen {
 			d.Chosen = int8(s)
 		}

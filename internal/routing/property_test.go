@@ -72,7 +72,7 @@ func TestPropertyMinimalHopBound(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			src := topo.RouterID(rng.Intn(tp.NumRouters()))
 			dst := topo.RouterID(rng.Intn(tp.NumRouters()))
-			path := tp.MinimalPath(src, dst, rng)
+			path := tp.AppendMinimalPath(nil, src, dst, rng)
 			sameGroup := tp.GroupOf(src) == tp.GroupOf(dst)
 			direct := len(tp.GlobalLinks(tp.GroupOf(src), tp.GroupOf(dst))) > 0
 			bound := topo.MaxMinimalHops
@@ -128,7 +128,7 @@ func TestPropertyValiantIntermediateGroups(t *testing.T) {
 			if gs == gd {
 				continue
 			}
-			path := tp.NonMinimalPath(src, dst, rng)
+			path := tp.AppendNonMinimalPath(nil, src, dst, rng)
 			if err := tp.ValidatePath(src, dst, path); err != nil {
 				t.Fatalf("geometry %+v: %v", cfg, err)
 			}
@@ -160,12 +160,13 @@ func TestPropertyAdaptiveCandidatesRespectBounds(t *testing.T) {
 	for g := 0; g < 25; g++ {
 		cfg := randomGeometry(rng)
 		tp := topo.MustNew(cfg)
+		var buf topo.PathBuffer
 		for trial := 0; trial < 40; trial++ {
 			src := topo.RouterID(rng.Intn(tp.NumRouters()))
 			dst := topo.RouterID(rng.Intn(tp.NumRouters()))
 			direct := tp.GroupOf(src) == tp.GroupOf(dst) ||
 				len(tp.GlobalLinks(tp.GroupOf(src), tp.GroupOf(dst))) > 0
-			minimal, nonMinimal := tp.SamplePaths(src, dst, 2, 2, rng)
+			minimal, nonMinimal := tp.SamplePathsInto(&buf, src, dst, 2, 2, rng)
 			for _, p := range minimal {
 				if err := tp.ValidatePath(src, dst, p); err != nil {
 					t.Fatalf("geometry %+v: minimal candidate: %v", cfg, err)

@@ -123,14 +123,13 @@ func (m Mode) IsAdaptive() bool {
 // allowed to be stale (credit information propagates with a delay), which is
 // what produces the phantom-congestion behaviour discussed in the paper.
 type CongestionView interface {
-	// QueueCycles returns the estimated backlog of the link in cycles, as
-	// perceived at time now (subject to credit/propagation staleness).
-	QueueCycles(id topo.LinkID, now int64) int64
-	// PropagationCycles returns the propagation delay of the link in cycles.
-	PropagationCycles(id topo.LinkID) int64
-	// SerializationCycles returns the time needed to serialize the given
-	// number of flits onto the link, in cycles.
-	SerializationCycles(id topo.LinkID, flits int) int64
+	// PathCost estimates the traversal cost of a path for a packet of the
+	// given flit count, as perceived at time now: per hop, the perceived
+	// queue backlog of the link plus its propagation delay plus the time to
+	// serialize the flits onto it. This mirrors the UGAL decision of
+	// comparing queue-depth x hop-count between minimal and non-minimal
+	// candidates.
+	PathCost(path topo.Path, flits int, now int64) int64
 }
 
 // Params configures the UGAL cost model and the per-mode biases.
@@ -247,24 +246,6 @@ func (p *Policy) DecisionTrace() *DecisionTrace { return p.trace }
 // Topology returns the underlying topology.
 func (p *Policy) Topology() *topo.Topology { return p.topo }
 
-// PathCost estimates the traversal cost of a path for a packet of the given
-// flit count: per-hop serialization plus propagation plus the perceived queue
-// backlog of each link. This mirrors the UGAL decision of comparing
-// queue-depth x hop-count between minimal and non-minimal candidates.
-func PathCost(path topo.Path, flits int, view CongestionView, now int64) int64 {
-	var cost int64
-	for _, id := range path {
-		cost += view.QueueCycles(id, now)
-		cost += view.PropagationCycles(id)
-		cost += view.SerializationCycles(id, flits)
-	}
-	return cost
-}
-
-func (p *Policy) pathCost(path topo.Path, flits int, view CongestionView, now int64) int64 {
-	return PathCost(path, flits, view, now)
-}
-
 // hashPath returns a deterministic path for the hashed (non-adaptive) modes.
 // The result aliases the policy's scratch storage.
 func (p *Policy) hashPath(src, dst topo.RouterID, hash uint64, minimal bool) topo.Path {
@@ -310,10 +291,6 @@ func (p Params) BiasFor(mode Mode, minimalHops int) int64 {
 	}
 }
 
-func (p *Policy) bias(mode Mode, minimalHops int) int64 {
-	return p.params.BiasFor(mode, minimalHops)
-}
-
 // Route selects a path for one packet of the given flit count from the router
 // of the source node to the router of the destination node.
 //
@@ -329,14 +306,14 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 	switch mode {
 	case MinHash:
 		path := p.hashPath(src, dst, hash, true)
-		return Decision{Path: path, Minimal: true, Cost: p.pathCost(path, flits, view, now)}
+		return Decision{Path: path, Minimal: true, Cost: view.PathCost(path, flits, now)}
 	case NonMinHash:
 		path := p.hashPath(src, dst, hash, false)
-		return Decision{Path: path, Minimal: false, Cost: p.pathCost(path, flits, view, now)}
+		return Decision{Path: path, Minimal: false, Cost: view.PathCost(path, flits, now)}
 	case InOrder:
 		p.hashScratch = p.topo.AppendMinimalPath(p.hashScratch[:0], src, dst, nil)
 		path := p.hashScratch
-		return Decision{Path: path, Minimal: true, Cost: p.pathCost(path, flits, view, now)}
+		return Decision{Path: path, Minimal: true, Cost: view.PathCost(path, flits, now)}
 	}
 
 	// Adaptive modes: sample candidates and pick the cheapest after bias.
@@ -352,15 +329,15 @@ func (p *Policy) Route(mode Mode, src, dst topo.RouterID, flits int, hash uint64
 		}
 	}
 	for i, cand := range minimal {
-		c := p.pathCost(cand, flits, view, now)
+		c := view.PathCost(cand, flits, now)
 		if c < best.Cost {
 			best = Decision{Path: cand, Minimal: true, Cost: c}
 			bestIdx = i
 		}
 	}
-	nonMinBias := p.bias(mode, bestMinHops)
+	nonMinBias := p.params.BiasFor(mode, bestMinHops)
 	for i, cand := range nonMinimal {
-		c := p.pathCost(cand, flits, view, now) + nonMinBias
+		c := view.PathCost(cand, flits, now) + nonMinBias
 		if c < best.Cost {
 			best = Decision{Path: cand, Minimal: false, Cost: c}
 			bestIdx = len(minimal) + i
@@ -382,13 +359,8 @@ type ZeroView struct {
 	CyclesPerFlit int64
 }
 
-// QueueCycles implements CongestionView; it always returns 0.
-func (v ZeroView) QueueCycles(topo.LinkID, int64) int64 { return 0 }
-
-// PropagationCycles implements CongestionView.
-func (v ZeroView) PropagationCycles(topo.LinkID) int64 { return v.Propagation }
-
-// SerializationCycles implements CongestionView.
-func (v ZeroView) SerializationCycles(_ topo.LinkID, flits int) int64 {
-	return v.CyclesPerFlit * int64(flits)
+// PathCost implements CongestionView: every hop costs the propagation delay
+// plus CyclesPerFlit per flit, with no queue backlog.
+func (v ZeroView) PathCost(path topo.Path, flits int, _ int64) int64 {
+	return int64(len(path)) * (v.Propagation + v.CyclesPerFlit*int64(flits))
 }

@@ -231,10 +231,12 @@ type congestedView struct {
 	prop      int64
 }
 
-func (v congestedView) QueueCycles(id topo.LinkID, _ int64) int64 { return v.congested[id] }
-func (v congestedView) PropagationCycles(topo.LinkID) int64       { return v.prop }
-func (v congestedView) SerializationCycles(_ topo.LinkID, flits int) int64 {
-	return int64(flits)
+func (v congestedView) PathCost(path topo.Path, flits int, _ int64) int64 {
+	var cost int64
+	for _, id := range path {
+		cost += v.congested[id] + v.prop + int64(flits)
+	}
+	return cost
 }
 
 func TestAdaptiveAvoidsCongestedMinimal(t *testing.T) {
@@ -293,9 +295,9 @@ func TestBiasOrdering(t *testing.T) {
 	p, _ := newTestPolicy(t, 3)
 	// The effective non-minimal bias must be monotone: Adaptive <= Low <= High.
 	for hops := 1; hops <= topo.MaxMinimalHops; hops++ {
-		a := p.bias(Adaptive, hops)
-		l := p.bias(AdaptiveLowBias, hops)
-		h := p.bias(AdaptiveHighBias, hops)
+		a := p.params.BiasFor(Adaptive, hops)
+		l := p.params.BiasFor(AdaptiveLowBias, hops)
+		h := p.params.BiasFor(AdaptiveHighBias, hops)
 		if a > l || l > h {
 			t.Fatalf("bias ordering violated at hops=%d: %d %d %d", hops, a, l, h)
 		}
@@ -304,8 +306,8 @@ func TestBiasOrdering(t *testing.T) {
 
 func TestIMBBiasGrowsAsDestinationApproaches(t *testing.T) {
 	p, _ := newTestPolicy(t, 3)
-	far := p.bias(IncreasinglyMinimalBias, topo.MaxMinimalHops)
-	near := p.bias(IncreasinglyMinimalBias, 1)
+	far := p.params.BiasFor(IncreasinglyMinimalBias, topo.MaxMinimalHops)
+	near := p.params.BiasFor(IncreasinglyMinimalBias, 1)
 	if near <= far {
 		t.Fatalf("IMB bias must grow as the minimal path shrinks: near=%d far=%d", near, far)
 	}
@@ -313,14 +315,15 @@ func TestIMBBiasGrowsAsDestinationApproaches(t *testing.T) {
 
 func TestZeroViewCosts(t *testing.T) {
 	v := ZeroView{Propagation: 7, CyclesPerFlit: 3}
-	if v.QueueCycles(0, 0) != 0 {
-		t.Fatal("ZeroView must report empty queues")
+	if v.PathCost(nil, 5, 0) != 0 {
+		t.Fatal("ZeroView must cost an empty path at 0")
 	}
-	if v.PropagationCycles(0) != 7 {
-		t.Fatal("wrong propagation")
+	// One hop: no queue backlog, propagation 7, serialization 5 flits x 3.
+	if got := v.PathCost(topo.Path{0}, 5, 0); got != 7+15 {
+		t.Fatalf("one-hop cost = %d, want 22", got)
 	}
-	if v.SerializationCycles(0, 5) != 15 {
-		t.Fatal("wrong serialization")
+	if got := v.PathCost(topo.Path{0, 1, 2}, 5, 1000); got != 3*(7+15) {
+		t.Fatalf("three-hop cost = %d, want 66 at any time", got)
 	}
 }
 
@@ -380,18 +383,5 @@ func TestPropertyIdleNetworkPrefersMinimal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkRouteAdaptive(b *testing.B) {
-	tt := topo.MustNew(topo.AriesConfig(6))
-	p := MustNewPolicy(tt, DefaultParams())
-	rng := rand.New(rand.NewSource(1))
-	src := tt.RouterAt(topo.Coord{Group: 0, Chassis: 0, Blade: 0})
-	dst := tt.RouterAt(topo.Coord{Group: 5, Chassis: 3, Blade: 9})
-	view := ZeroView{Propagation: 100, CyclesPerFlit: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.Route(Adaptive, src, dst, 5, uint64(i), view, int64(i), rng)
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// adjKey identifies a directed router pair.
+type adjKey struct{ src, dst RouterID }
+
 // csrGeometries are the shapes the CSR adjacency is cross-checked on,
 // including degenerate single-dimension layouts.
 var csrGeometries = []Config{
@@ -74,17 +77,13 @@ func TestCSRNeighborsSortedAndComplete(t *testing.T) {
 	}
 }
 
-// TestCSRMemoryScalesWithLinks is the machine-scale motivation: past the
-// dense-mirror cutoff the adjacency arrays grow with the link count, not
-// quadratically with the router count. On a full Aries 14-group system (1344
-// routers) a dense |R|²-entry matrix would hold ~1.8M entries; the CSR rows
-// plus the reverse-link table stay within a small multiple of the ~29k
-// directed links.
+// TestCSRMemoryScalesWithLinks is the machine-scale motivation: the
+// adjacency arrays grow with the link count, not quadratically with the
+// router count. On a full Aries 14-group system (1344 routers) a dense
+// |R|²-entry matrix would hold ~1.8M entries; the CSR rows plus the
+// reverse-link table stay within a small multiple of the ~29k directed links.
 func TestCSRMemoryScalesWithLinks(t *testing.T) {
 	tp := MustNew(AriesConfig(14))
-	if tp.adjDense != nil {
-		t.Fatal("machine-scale topology built the dense mirror despite the size cutoff")
-	}
 	got := tp.AdjacencyBytes()
 	// offsets (n+1), dst, link and reverse-link arrays, 4 bytes each.
 	want := (tp.NumRouters()+1)*4 + tp.NumLinks()*12
@@ -95,10 +94,7 @@ func TestCSRMemoryScalesWithLinks(t *testing.T) {
 	if got*10 > dense {
 		t.Fatalf("CSR adjacency (%d B) is not an order of magnitude under the dense matrix (%d B)", got, dense)
 	}
-	if tp.buildAdj != nil {
-		t.Fatal("construction scaffolding (buildAdj) must be released after New")
-	}
-	// The CSR row search (the machine-scale LinkBetween path) must agree
+	// The CSR row search (the LinkBetween path) must agree
 	// with the ground-truth link list; sample pairs around each router.
 	truth := make(map[adjKey]LinkID, tp.NumLinks())
 	for _, l := range tp.Links() {
@@ -117,8 +113,8 @@ func TestCSRMemoryScalesWithLinks(t *testing.T) {
 	}
 }
 
-// TestReverseLinkTable pins ReverseLink against LinkBetween on both the
-// dense-mirrored and the CSR-only regimes.
+// TestReverseLinkTable pins ReverseLink against LinkBetween on a small and a
+// machine-scale topology.
 func TestReverseLinkTable(t *testing.T) {
 	for _, cfg := range []Config{SmallConfig(4), AriesConfig(14)} {
 		tp := MustNew(cfg)

@@ -20,14 +20,9 @@ const MaxMinimalHops = 5
 // (two concatenated minimal segments via an intermediate group).
 const MaxNonMinimalHops = 10
 
-// The path constructors come in two flavours: the historical allocating form
-// (MinimalPath, NonMinimalPath, SamplePaths) and an appending form
-// (AppendMinimalPath, AppendNonMinimalPath, SamplePathsInto) that reuses
-// caller-owned storage. Both draw from rng in exactly the same order and
-// produce exactly the same links, so they are interchangeable without
-// affecting simulation results; the appending form exists because path
-// sampling runs once per simulated packet and used to dominate the
-// simulator's allocation profile.
+// The path constructors append into caller-owned storage: path sampling runs
+// once per simulated packet, so it must not allocate. They read links from
+// the topology's local and global tables, never from the CSR rows.
 
 // appendIntraGroupPath appends one path between two routers of the same group
 // to p, choosing randomly between the two 2-hop alternatives when they are not
@@ -40,7 +35,8 @@ func (t *Topology) appendIntraGroupPath(p Path, src, dst RouterID, rng *rand.Ran
 	if cs.Group != cd.Group {
 		panic(fmt.Sprintf("topo: intraGroupPath called across groups %d and %d", cs.Group, cd.Group))
 	}
-	if id := t.LinkBetween(src, dst); id != InvalidLink {
+	g := cs.Group
+	if id := t.localLink(g, src, dst); id != InvalidLink {
 		return append(p, id)
 	}
 	// Not directly connected: two hops, either chassis-first or row-first.
@@ -50,8 +46,8 @@ func (t *Topology) appendIntraGroupPath(p Path, src, dst RouterID, rng *rand.Ran
 	if rng != nil && rng.Intn(2) == 1 {
 		via = viaB
 	}
-	first := t.LinkBetween(src, via)
-	second := t.LinkBetween(via, dst)
+	first := t.localLink(g, src, via)
+	second := t.localLink(g, via, dst)
 	if first == InvalidLink || second == InvalidLink {
 		// Fall back to the other alternative; with full chassis/row wiring this
 		// cannot happen, but degenerate test configs may omit one dimension.
@@ -59,21 +55,17 @@ func (t *Topology) appendIntraGroupPath(p Path, src, dst RouterID, rng *rand.Ran
 		if via == viaA {
 			other = viaB
 		}
-		first = t.LinkBetween(src, other)
-		second = t.LinkBetween(other, dst)
+		first = t.localLink(g, src, other)
+		second = t.localLink(g, other, dst)
 	}
 	return append(p, first, second)
 }
 
-// MinimalPath samples one minimal path from src to dst. For inter-group pairs
-// the global link is chosen uniformly at random among the links connecting the
-// two groups; local segments choose randomly among equal-length alternatives.
-// rng may be nil for a deterministic (first-alternative) choice.
-func (t *Topology) MinimalPath(src, dst RouterID, rng *rand.Rand) Path {
-	return t.AppendMinimalPath(nil, src, dst, rng)
-}
-
-// AppendMinimalPath is MinimalPath appending into p instead of allocating.
+// AppendMinimalPath samples one minimal path from src to dst and appends it
+// to p. For inter-group pairs the global link is chosen uniformly at random
+// among the links connecting the two groups; local segments choose randomly
+// among equal-length alternatives. rng may be nil for a deterministic
+// (first-alternative) choice.
 func (t *Topology) AppendMinimalPath(p Path, src, dst RouterID, rng *rand.Rand) Path {
 	if src == dst {
 		return p
@@ -142,16 +134,11 @@ func (t *Topology) appendThroughIntermediateGroup(p Path, src, dst RouterID, rng
 	return t.appendIntraGroupPath(p, lo.Dst, dst, rng)
 }
 
-// NonMinimalPath samples one Valiant-style non-minimal path from src to dst.
-// For inter-group pairs the path traverses a random intermediate group; for
-// intra-group pairs it traverses a random intermediate router of the same
-// group. rng may be nil for a deterministic choice.
-func (t *Topology) NonMinimalPath(src, dst RouterID, rng *rand.Rand) Path {
-	return t.AppendNonMinimalPath(nil, src, dst, rng)
-}
-
-// AppendNonMinimalPath is NonMinimalPath appending into p instead of
-// allocating.
+// AppendNonMinimalPath samples one Valiant-style non-minimal path from src to
+// dst and appends it to p. For inter-group pairs the path traverses a random
+// intermediate group; for intra-group pairs it traverses a random
+// intermediate router of the same group. rng may be nil for a deterministic
+// choice.
 func (t *Topology) AppendNonMinimalPath(p Path, src, dst RouterID, rng *rand.Rand) Path {
 	if src == dst {
 		return p
@@ -206,18 +193,11 @@ func growPaths(ps []Path, n int) []Path {
 	return ps[:n]
 }
 
-// SamplePaths returns nMin minimal and nNonMin non-minimal candidate paths,
-// mirroring the Aries UGAL implementation which considers two of each per
-// packet. Candidates may coincide when few distinct paths exist.
-func (t *Topology) SamplePaths(src, dst RouterID, nMin, nNonMin int, rng *rand.Rand) (minimal, nonMinimal []Path) {
-	var buf PathBuffer
-	return t.SamplePathsInto(&buf, src, dst, nMin, nNonMin, rng)
-}
-
-// SamplePathsInto is SamplePaths sampling into buf: the returned slices (and
-// the paths they hold) alias the buffer and are valid until the next call
-// with the same buffer. It draws from rng exactly like SamplePaths, so the
-// two are interchangeable without affecting results.
+// SamplePathsInto samples nMin minimal and nNonMin non-minimal candidate
+// paths into buf, mirroring the Aries UGAL implementation which considers two
+// of each per packet. Candidates may coincide when few distinct paths exist.
+// The returned slices (and the paths they hold) alias the buffer and are
+// valid until the next call with the same buffer.
 func (t *Topology) SamplePathsInto(buf *PathBuffer, src, dst RouterID, nMin, nNonMin int, rng *rand.Rand) (minimal, nonMinimal []Path) {
 	buf.minimal = growPaths(buf.minimal, nMin)
 	buf.nonMinimal = growPaths(buf.nonMinimal, nNonMin)
@@ -230,10 +210,35 @@ func (t *Topology) SamplePathsInto(buf *PathBuffer, src, dst RouterID, nMin, nNo
 	return buf.minimal, buf.nonMinimal
 }
 
-// MinimalHops returns the number of hops of a minimal path between the two
-// routers (deterministic, no sampling).
+// MinimalHops returns the number of hops of the deterministic minimal path
+// between the two routers, the one AppendMinimalPath builds with a nil rng.
+// It counts the hops without building the path, so it does not allocate.
 func (t *Topology) MinimalHops(src, dst RouterID) int {
-	return len(t.MinimalPath(src, dst, nil))
+	gs, gd := t.GroupOf(src), t.GroupOf(dst)
+	if gs == gd {
+		return t.intraGroupHops(src, dst)
+	}
+	links := t.GlobalLinks(gs, gd)
+	if len(links) == 0 {
+		// No direct link between the groups (Validate admits no such
+		// wiring): count the Valiant detour AppendMinimalPath falls back to.
+		return len(t.AppendMinimalPath(nil, src, dst, nil))
+	}
+	l := t.Link(links[0])
+	return t.intraGroupHops(src, l.Src) + 1 + t.intraGroupHops(l.Dst, dst)
+}
+
+// intraGroupHops is the hop count of appendIntraGroupPath between two routers
+// of one group: none, one direct link, or two.
+func (t *Topology) intraGroupHops(src, dst RouterID) int {
+	switch {
+	case src == dst:
+		return 0
+	case t.localLink(t.coords[src].Group, src, dst) != InvalidLink:
+		return 1
+	default:
+		return 2
+	}
 }
 
 // ValidatePath reports an error if the path is not a connected chain of links

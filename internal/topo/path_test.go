@@ -8,7 +8,7 @@ import (
 
 func TestMinimalPathSameRouter(t *testing.T) {
 	tt := MustNew(SmallConfig(2))
-	p := tt.MinimalPath(3, 3, nil)
+	p := tt.AppendMinimalPath(nil, 3, 3, nil)
 	if len(p) != 0 {
 		t.Fatalf("path to self has %d hops, want 0", len(p))
 	}
@@ -18,7 +18,7 @@ func TestMinimalPathDirectNeighbors(t *testing.T) {
 	tt := MustNew(SmallConfig(2))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{0, 0, 1})
-	p := tt.MinimalPath(src, dst, nil)
+	p := tt.AppendMinimalPath(nil, src, dst, nil)
 	if len(p) != 1 {
 		t.Fatalf("intra-chassis minimal path has %d hops, want 1", len(p))
 	}
@@ -33,7 +33,7 @@ func TestMinimalPathIntraGroupTwoHops(t *testing.T) {
 	dst := tt.RouterAt(Coord{0, 1, 1}) // different chassis and blade
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20; i++ {
-		p := tt.MinimalPath(src, dst, rng)
+		p := tt.AppendMinimalPath(nil, src, dst, rng)
 		if len(p) != 2 {
 			t.Fatalf("diagonal intra-group minimal path has %d hops, want 2", len(p))
 		}
@@ -49,7 +49,7 @@ func TestMinimalPathInterGroupBounds(t *testing.T) {
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{2, 5, 15})
 	for i := 0; i < 50; i++ {
-		p := tt.MinimalPath(src, dst, rng)
+		p := tt.AppendMinimalPath(nil, src, dst, rng)
 		if len(p) == 0 || len(p) > MaxMinimalHops {
 			t.Fatalf("inter-group minimal path has %d hops, want 1..%d", len(p), MaxMinimalHops)
 		}
@@ -75,7 +75,7 @@ func TestNonMinimalPathInterGroup(t *testing.T) {
 	dst := tt.RouterAt(Coord{1, 2, 3})
 	sawIntermediate := false
 	for i := 0; i < 50; i++ {
-		p := tt.NonMinimalPath(src, dst, rng)
+		p := tt.AppendNonMinimalPath(nil, src, dst, rng)
 		if len(p) == 0 || len(p) > MaxNonMinimalHops {
 			t.Fatalf("non-minimal path has %d hops, want 1..%d", len(p), MaxNonMinimalHops)
 		}
@@ -103,8 +103,8 @@ func TestNonMinimalPathIntraGroupLongerOrEqual(t *testing.T) {
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{0, 0, 1})
 	for i := 0; i < 30; i++ {
-		pm := tt.MinimalPath(src, dst, rng)
-		pn := tt.NonMinimalPath(src, dst, rng)
+		pm := tt.AppendMinimalPath(nil, src, dst, rng)
+		pn := tt.AppendNonMinimalPath(nil, src, dst, rng)
 		if err := tt.ValidatePath(src, dst, pn); err != nil {
 			t.Fatal(err)
 		}
@@ -119,9 +119,10 @@ func TestSamplePathsCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{2, 1, 2})
-	minimal, nonMinimal := tt.SamplePaths(src, dst, 2, 2, rng)
+	var buf PathBuffer
+	minimal, nonMinimal := tt.SamplePathsInto(&buf, src, dst, 2, 2, rng)
 	if len(minimal) != 2 || len(nonMinimal) != 2 {
-		t.Fatalf("SamplePaths returned %d minimal, %d non-minimal, want 2 and 2", len(minimal), len(nonMinimal))
+		t.Fatalf("SamplePathsInto returned %d minimal, %d non-minimal, want 2 and 2", len(minimal), len(nonMinimal))
 	}
 	for _, p := range minimal {
 		if err := tt.ValidatePath(src, dst, p); err != nil {
@@ -144,6 +145,13 @@ func TestMinimalHops(t *testing.T) {
 	dst := tt.RouterAt(Coord{0, 0, 2})
 	if h := tt.MinimalHops(src, dst); h != 1 {
 		t.Fatalf("MinimalHops neighbor = %d, want 1", h)
+	}
+	far := tt.RouterAt(Coord{1, 1, 3})
+	if h, want := tt.MinimalHops(src, far), len(tt.AppendMinimalPath(nil, src, far, nil)); h != want {
+		t.Fatalf("MinimalHops inter-group = %d, want the deterministic path's %d", h, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tt.MinimalHops(src, far) }); allocs != 0 {
+		t.Fatalf("MinimalHops allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -175,8 +183,8 @@ func TestPropertyPathsValid(t *testing.T) {
 		src := RouterID(int(a) % n)
 		dst := RouterID(int(b) % n)
 		r := rand.New(rand.NewSource(seed))
-		pm := tt.MinimalPath(src, dst, r)
-		pn := tt.NonMinimalPath(src, dst, r)
+		pm := tt.AppendMinimalPath(nil, src, dst, r)
+		pn := tt.AppendNonMinimalPath(nil, src, dst, r)
 		if tt.ValidatePath(src, dst, pm) != nil || tt.ValidatePath(src, dst, pn) != nil {
 			return false
 		}
@@ -208,7 +216,7 @@ func TestPropertyMinimalOneGlobalHop(t *testing.T) {
 		if len(tt.GlobalLinks(tt.GroupOf(src), tt.GroupOf(dst))) == 0 {
 			continue
 		}
-		p := tt.MinimalPath(src, dst, rng)
+		p := tt.AppendMinimalPath(nil, src, dst, rng)
 		globals := 0
 		for _, id := range p {
 			if tt.Link(id).Type == LinkGlobal {
@@ -221,24 +229,26 @@ func TestPropertyMinimalOneGlobalHop(t *testing.T) {
 	}
 }
 
-func BenchmarkMinimalPathInterGroup(b *testing.B) {
+func BenchmarkAppendMinimalPathInterGroup(b *testing.B) {
 	tt := MustNew(AriesConfig(6))
 	rng := rand.New(rand.NewSource(7))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{5, 3, 7})
+	var p Path
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tt.MinimalPath(src, dst, rng)
+		p = tt.AppendMinimalPath(p[:0], src, dst, rng)
 	}
 }
 
-func BenchmarkNonMinimalPathInterGroup(b *testing.B) {
+func BenchmarkAppendNonMinimalPathInterGroup(b *testing.B) {
 	tt := MustNew(AriesConfig(6))
 	rng := rand.New(rand.NewSource(8))
 	src := tt.RouterAt(Coord{0, 0, 0})
 	dst := tt.RouterAt(Coord{5, 3, 7})
+	var p Path
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tt.NonMinimalPath(src, dst, rng)
+		p = tt.AppendNonMinimalPath(p[:0], src, dst, rng)
 	}
 }

@@ -173,6 +173,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// LinkWidth returns the width (tiles) of every link of the given tier.
+func (c Config) LinkWidth(typ LinkType) int {
+	switch typ {
+	case LinkIntraChassis:
+		return c.IntraChassisLinkWidth
+	case LinkIntraGroup:
+		return c.IntraGroupLinkWidth
+	default:
+		return c.GlobalLinkWidth
+	}
+}
+
 // RoutersPerGroup returns the number of routers in one group.
 func (c Config) RoutersPerGroup() int { return c.ChassisPerGroup * c.BladesPerChassis }
 
@@ -192,35 +204,34 @@ type Topology struct {
 	// Adjacency in CSR (compressed sparse row) form: router r's outgoing
 	// links occupy adjDst/adjLink[adjOff[r]:adjOff[r+1]], sorted by
 	// destination router. Router degree on a Dragonfly is small and bounded
-	// (blades-1 + chassis-1 + global ports), so the per-hop LinkBetween
-	// lookup is a short binary search over one cache line or two, while the
-	// memory cost is O(links) — a dense |R|×|R| matrix at machine scale
-	// (thousands of routers) would dwarf the link state itself.
+	// (blades-1 + chassis-1 + global ports), so LinkBetween is a short binary
+	// search over one cache line or two, while the memory cost is O(links) —
+	// a dense |R|×|R| matrix at machine scale (thousands of routers) would
+	// dwarf the link state itself. Path construction does not search it: it
+	// reads the local and global tables below.
 	adjOff  []int32
 	adjDst  []RouterID
 	adjLink []LinkID
-
-	// adjDense is an optional accelerator over the CSR rows: the flattened
-	// |R|×|R| matrix (src*NumRouters+dst -> LinkID). Path construction runs
-	// several LinkBetween lookups per simulated packet, and on the small
-	// experiment geometries the whole matrix fits in a few KiB of cache, so
-	// the indexed load is measurably faster than the row search. It is built
-	// only while it costs at most denseAdjMaxBytes; machine-scale topologies
-	// leave it nil and answer from the CSR rows alone.
-	adjDense []LinkID
 
 	// revLink maps each link to the link in the opposite direction (or
 	// InvalidLink). The fabric walks the reverse path once per packet chunk;
 	// precomputing it removes every adjacency lookup from that loop.
 	revLink []LinkID
 
-	// buildAdj is construction-only: it detects already-connected router
-	// pairs while links are being wired (global port assignments may collapse
-	// onto one pair). It is released once the CSR arrays are built.
-	buildAdj map[adjKey]LinkID
+	// localTable serves every intra-group hop. buildLocalLinks wires each
+	// group identically and group-major, so the link from router ls to router
+	// ld of group g (indices within the group) is
+	// g*localPerGroup + localTable[ls*RoutersPerGroup+ld], or no link when the
+	// entry is negative. One table of RoutersPerGroup² entries stands for
+	// every group (36 KiB on full Aries groups).
+	localTable    []int32
+	localPerGroup int32
 
-	// globalByPair[(g1,g2)] lists links from a router of g1 to a router of g2.
-	globalByPair map[[2]GroupID][]LinkID
+	// GlobalLinks(g1, g2) is globalLinks[globalOff[k]:globalOff[k+1]] with
+	// k = g1*Groups+g2: the links from a router of g1 to a router of g2, in
+	// link order.
+	globalOff   []int32
+	globalLinks []LinkID
 
 	// viaGroups[(gs*Groups)+gd] lists the intermediate groups usable for a
 	// Valiant detour between gs and gd (connected to both, excluding the
@@ -235,10 +246,8 @@ func New(cfg Config) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{
-		cfg:          cfg,
-		coords:       make([]Coord, cfg.Routers()),
-		buildAdj:     make(map[adjKey]LinkID),
-		globalByPair: make(map[[2]GroupID][]LinkID),
+		cfg:    cfg,
+		coords: make([]Coord, cfg.Routers()),
 	}
 	for r := 0; r < cfg.Routers(); r++ {
 		t.coords[r] = t.coordOf(RouterID(r))
@@ -246,21 +255,12 @@ func New(cfg Config) (*Topology, error) {
 	t.buildLocalLinks()
 	t.buildGlobalLinks()
 	t.buildPathCaches()
-	t.buildAdj = nil // construction scaffolding; the CSR arrays own adjacency now
 	return t, nil
 }
 
-// adjKey identifies a directed router pair during construction.
-type adjKey struct{ src, dst RouterID }
-
-// denseAdjMaxBytes bounds the optional dense adjacency mirror: up to this
-// size (512 routers) the matrix is cheap cache-resident speed for the
-// per-packet path construction; past it — the Large and Daint ladder rungs —
-// adjacency stays CSR-only and memory scales with links, not routers².
-const denseAdjMaxBytes = 1 << 20
-
-// buildPathCaches derives the per-packet lookup structures (CSR adjacency,
-// Valiant intermediate-group candidates) from the link graph.
+// buildPathCaches derives the lookup structures (CSR adjacency, reverse
+// links, the local and global path tables, Valiant intermediate-group
+// candidates) from the link graph.
 func (t *Topology) buildPathCaches() {
 	n := t.cfg.Routers()
 	// CSR: count degrees, prefix-sum into row offsets, fill, then sort each
@@ -295,19 +295,12 @@ func (t *Topology) buildPathCaches() {
 			t.adjDst[j], t.adjLink[j] = d, id
 		}
 	}
-	if n*n*4 <= denseAdjMaxBytes {
-		t.adjDense = make([]LinkID, n*n)
-		for i := range t.adjDense {
-			t.adjDense[i] = InvalidLink
-		}
-		for _, l := range t.links {
-			t.adjDense[int(l.Src)*n+int(l.Dst)] = l.ID
-		}
-	}
 	t.revLink = make([]LinkID, len(t.links))
 	for i, l := range t.links {
 		t.revLink[i] = t.LinkBetween(l.Dst, l.Src)
 	}
+	t.buildLocalTable()
+	t.buildGlobalTable()
 	t.viaGroups = make([][]GroupID, t.cfg.Groups*t.cfg.Groups)
 	for gs := 0; gs < t.cfg.Groups; gs++ {
 		for gd := 0; gd < t.cfg.Groups; gd++ {
@@ -397,14 +390,9 @@ func (t *Topology) NodesOfRouter(r RouterID) []NodeID {
 func (t *Topology) GroupOfNode(n NodeID) GroupID { return t.GroupOf(t.RouterOfNode(n)) }
 
 // LinkBetween returns the link from src to dst, or InvalidLink if the two
-// routers are not directly connected. Small machines answer from the dense
-// mirror (one indexed load); machine-scale topologies binary-search the
-// router's CSR adjacency row — rows are degree-bounded, so that is a handful
-// of compares.
+// routers are not directly connected. It binary-searches the router's CSR
+// adjacency row; rows are degree-bounded, so that is a handful of compares.
 func (t *Topology) LinkBetween(src, dst RouterID) LinkID {
-	if t.adjDense != nil {
-		return t.adjDense[int(src)*len(t.coords)+int(dst)]
-	}
 	lo, hi := t.adjOff[src], t.adjOff[src+1]
 	for lo < hi {
 		mid := (lo + hi) >> 1
@@ -438,26 +426,82 @@ func (t *Topology) Neighbors(r RouterID) []RouterID {
 }
 
 // AdjacencyBytes reports the memory held by the adjacency structures: the
-// CSR arrays, the reverse-link table, and — on small machines only — the
-// dense mirror. It is the observable the machine-scale tooling (cmd/topoinfo,
-// EXPERIMENTS.md's memory-budget table) tracks: past the dense cutoff it is
-// O(links), where a mandatory dense matrix would be O(routers²).
+// CSR arrays and the reverse-link table. It is the observable the
+// machine-scale tooling (cmd/topoinfo, EXPERIMENTS.md's memory-budget table)
+// tracks: O(links), where a dense matrix would be O(routers²).
 func (t *Topology) AdjacencyBytes() int {
-	return len(t.adjOff)*4 + len(t.adjDst)*4 + len(t.adjLink)*4 +
-		len(t.revLink)*4 + len(t.adjDense)*4
+	return len(t.adjOff)*4 + len(t.adjDst)*4 + len(t.adjLink)*4 + len(t.revLink)*4
 }
 
-// GlobalLinks returns the links connecting group g1 directly to group g2.
+// GlobalLinks returns the links connecting group g1 directly to group g2, in
+// link order. The caller must not modify the result.
 func (t *Topology) GlobalLinks(g1, g2 GroupID) []LinkID {
-	return t.globalByPair[[2]GroupID{g1, g2}]
+	k := int(g1)*t.cfg.Groups + int(g2)
+	lo, hi := t.globalOff[k], t.globalOff[k+1]
+	return t.globalLinks[lo:hi:hi]
 }
 
-// addLink inserts a directed link and its construction-time adjacency entry.
-func (t *Topology) addLink(src, dst RouterID, typ LinkType, width int) LinkID {
+// localLink returns the link from src to dst, two routers of group g, or
+// InvalidLink when they are not directly connected. It reads the shared
+// per-group table, never the CSR rows.
+func (t *Topology) localLink(g int, src, dst RouterID) LinkID {
+	perGroup := t.cfg.RoutersPerGroup()
+	base := g * perGroup
+	e := t.localTable[(int(src)-base)*perGroup+int(dst)-base]
+	if e < 0 {
+		return InvalidLink
+	}
+	return LinkID(int32(g)*t.localPerGroup + e)
+}
+
+// buildLocalTable fills the shared intra-group table from group 0's links,
+// which buildLocalLinks wires first, like every other group's.
+func (t *Topology) buildLocalTable() {
+	perGroup := t.cfg.RoutersPerGroup()
+	t.localTable = make([]int32, perGroup*perGroup)
+	for i := range t.localTable {
+		t.localTable[i] = -1
+	}
+	for _, l := range t.links {
+		if l.Type == LinkGlobal || t.coords[l.Src].Group != 0 {
+			break // local links come first, group-major
+		}
+		t.localTable[int(l.Src)*perGroup+int(l.Dst)] = int32(l.ID)
+		t.localPerGroup++
+	}
+}
+
+// buildGlobalTable lays out GlobalLinks as one flat slice with a dense
+// group-pair offset table: a counting pass, a prefix sum, then a fill pass
+// over the link list, which keeps each pair's links in link order.
+func (t *Topology) buildGlobalTable() {
+	groups := t.cfg.Groups
+	t.globalOff = make([]int32, groups*groups+1)
+	pairOf := func(l Link) int { return int(t.GroupOf(l.Src))*groups + int(t.GroupOf(l.Dst)) }
+	for _, l := range t.links {
+		if l.Type == LinkGlobal {
+			t.globalOff[pairOf(l)+1]++
+		}
+	}
+	for k := 0; k < groups*groups; k++ {
+		t.globalOff[k+1] += t.globalOff[k]
+	}
+	t.globalLinks = make([]LinkID, t.globalOff[groups*groups])
+	next := append([]int32(nil), t.globalOff[:groups*groups]...)
+	for _, l := range t.links {
+		if l.Type == LinkGlobal {
+			k := pairOf(l)
+			t.globalLinks[next[k]] = l.ID
+			next[k]++
+		}
+	}
+}
+
+// addLink appends a directed link of the given tier; every link of a tier
+// has the tier's configured width.
+func (t *Topology) addLink(src, dst RouterID, typ LinkType) {
 	id := LinkID(len(t.links))
-	t.links = append(t.links, Link{ID: id, Src: src, Dst: dst, Type: typ, Width: width})
-	t.buildAdj[adjKey{src, dst}] = id
-	return id
+	t.links = append(t.links, Link{ID: id, Src: src, Dst: dst, Type: typ, Width: t.cfg.LinkWidth(typ)})
 }
 
 // buildLocalLinks wires intra-chassis (all-to-all within a chassis) and
@@ -475,7 +519,7 @@ func (t *Topology) buildLocalLinks() {
 						continue
 					}
 					dst := t.RouterAt(Coord{g, c, b2})
-					t.addLink(src, dst, LinkIntraChassis, cfg.IntraChassisLinkWidth)
+					t.addLink(src, dst, LinkIntraChassis)
 				}
 				// Intra-group rows: connect to the same blade position in every
 				// other chassis of the group.
@@ -484,7 +528,7 @@ func (t *Topology) buildLocalLinks() {
 						continue
 					}
 					dst := t.RouterAt(Coord{g, c2, b})
-					t.addLink(src, dst, LinkIntraGroup, cfg.IntraGroupLinkWidth)
+					t.addLink(src, dst, LinkIntraGroup)
 				}
 			}
 		}
@@ -517,6 +561,26 @@ func (t *Topology) buildGlobalLinks() {
 		}
 		return peer - 1
 	}
+	// wired[r*h : r*h+nWired[r]] are the destinations of router r's global
+	// links so far. Each port carries one outgoing link, so a router has at
+	// most h of them; scanning them finds the router pairs an earlier port
+	// assignment already connected (local links never cross groups).
+	h := cfg.GlobalLinksPerRouter
+	wired := make([]RouterID, cfg.Routers()*h)
+	nWired := make([]int32, cfg.Routers())
+	connect := func(src, dst RouterID) {
+		row := wired[int(src)*h : int(src)*h+int(nWired[src])]
+		for _, d := range row {
+			if d == dst {
+				// Already connected: collapse into the existing link (widths
+				// already aggregate tiles).
+				return
+			}
+		}
+		wired[int(src)*h+len(row)] = dst
+		nWired[src]++
+		t.addLink(src, dst, LinkGlobal)
+	}
 	for g1 := 0; g1 < cfg.Groups; g1++ {
 		for g2 := g1 + 1; g2 < cfg.Groups; g2++ {
 			for k := 0; k < q; k++ {
@@ -527,20 +591,8 @@ func (t *Topology) buildGlobalLinks() {
 				}
 				r1 := routerOfPort(g1, p1)
 				r2 := routerOfPort(g2, p2)
-				// A pair of routers may already be connected by an earlier
-				// port assignment; collapse into the existing link by leaving
-				// the adjacency as is (widths already aggregate tiles). The
-				// CSR adjacency is not built yet, so probe the build map.
-				if _, ok := t.buildAdj[adjKey{r1, r2}]; !ok {
-					id := t.addLink(r1, r2, LinkGlobal, cfg.GlobalLinkWidth)
-					t.globalByPair[[2]GroupID{GroupID(g1), GroupID(g2)}] =
-						append(t.globalByPair[[2]GroupID{GroupID(g1), GroupID(g2)}], id)
-				}
-				if _, ok := t.buildAdj[adjKey{r2, r1}]; !ok {
-					id := t.addLink(r2, r1, LinkGlobal, cfg.GlobalLinkWidth)
-					t.globalByPair[[2]GroupID{GroupID(g2), GroupID(g1)}] =
-						append(t.globalByPair[[2]GroupID{GroupID(g2), GroupID(g1)}], id)
-				}
+				connect(r1, r2)
+				connect(r2, r1)
 			}
 		}
 	}
